@@ -125,6 +125,18 @@ def gated_numbers(path: str) -> Dict[str, Tuple[float, bool]]:
     return numbers
 
 
+def unit_of(key: str) -> str:
+    """The time unit a key's name declares, or ``""`` for a bare number.
+
+    ``kstar_96_fast_ns`` -> ``ns``, ``warm_p99_us`` and ``warm_us_per_req``
+    -> ``us``: the last ``_``-separated part that names a unit wins.
+    """
+    for part in reversed(key.split("_")):
+        if part in ("ns", "us", "ms", "s"):
+            return part
+    return ""
+
+
 #: Schema tag for the --json output, versioned like repro-bench/1.
 GATE_SCHEMA = "repro-bench-gate/1"
 
@@ -269,7 +281,8 @@ def main(argv=None) -> int:
         if gated and ratio is not None and ratio > 1.0 + args.tolerance:
             verdict = "REGRESSION"
             failures.append(
-                f"{key}: {fresh_value:.0f}ns vs baseline {base_value:.0f}ns "
+                f"{key}: {fresh_value:.0f}{unit_of(key)} vs baseline "
+                f"{base_value:.0f}{unit_of(key)} "
                 f"({ratio - 1.0:+.0%})"
             )
         elif not gated:

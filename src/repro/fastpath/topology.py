@@ -122,23 +122,28 @@ def compile_topology(graph) -> CompiledTopology:
     Called by ``freeze()``; use :func:`compiled_topology` to get the
     cached instance of an already-frozen graph.
     """
-    labels: Tuple[Hashable, ...] = tuple(graph.nodes())
+    # Read the two port maps directly: a validated graph numbers the ports
+    # of every node 0..deg-1, so each row is one dict lookup per port.
+    by_port = graph._port_to_neighbor
+    by_neighbor = graph._neighbor_to_port
+    labels: Tuple[Hashable, ...] = tuple(by_port)
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
-    degrees = array("l", (graph.degree(v) for v in labels))
+    degrees = array("l", [len(by_port[v]) for v in labels])
     offsets = array("l", [0] * (n + 1))
     total = 0
     for i in range(n):
         total += degrees[i]
         offsets[i + 1] = total
-    neighbor_at = array("l", [0] * total)
-    arrival_at = array("l", [0] * total)
-    for i, v in enumerate(labels):
-        base = offsets[i]
-        for p in range(degrees[i]):
-            u = graph.neighbor_via(v, p)
-            neighbor_at[base + p] = index[u]
-            arrival_at[base + p] = graph.port(u, v)
+    neighbors = []
+    arrivals = []
+    for v in labels:
+        ports = by_port[v]
+        row = [ports[p] for p in range(len(ports))]
+        neighbors.extend([index[u] for u in row])
+        arrivals.extend([by_neighbor[u][v] for u in row])
+    neighbor_at = array("l", neighbors)
+    arrival_at = array("l", arrivals)
     reprs = tuple(repr(v) for v in labels)
     source_index = index[graph.source] if graph.has_source else -1
     return CompiledTopology(

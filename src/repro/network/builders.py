@@ -12,7 +12,7 @@ Two kinds of builders live here:
   proofs: a fixed, explicit, canonical port labeling of ``K_n``.
 * General families used by the benchmarks and tests: paths, cycles, stars,
   complete bipartite graphs, grids, hypercubes, balanced trees, random trees,
-  connected Erdős–Rényi graphs, and random regular graphs.  Every random
+  Erdős–Rényi graphs made connected, and random regular graphs.  Every random
   builder takes an explicit :class:`random.Random` — or a ``seed`` from
   which one is constructed — so graph generation never touches the
   module-level RNG and is reproducible end to end; every builder returns a
@@ -23,7 +23,7 @@ Two kinds of builders live here:
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
@@ -84,11 +84,12 @@ def complete_graph_star(n: int) -> PortLabeledGraph:
     if n < 2:
         raise GraphError("K*_n needs n >= 2")
     g = PortLabeledGraph()
-    for i in range(1, n + 1):
-        g.add_node(i)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            g.add_edge(i, j, port_u=(j - i - 1) % n, port_v=(i - j - 1) % n)
+    nodes = range(1, n + 1)
+    # Both maps list neighbors in ascending order at every node: map
+    # iteration order reaches rows and traces, so it is part of the output.
+    for x in nodes:
+        g._neighbor_to_port[x] = {w: (w - x - 1) % n for w in nodes if w != x}
+        g._port_to_neighbor[x] = {(w - x - 1) % n: w for w in nodes if w != x}
     g.set_source(1)
     return g.freeze()
 
@@ -182,29 +183,127 @@ def random_connected_gnp(
     max_tries: int = 200,
     seed: Optional[int] = None,
 ) -> PortLabeledGraph:
-    """Connected Erdős–Rényi ``G(n, p)``.
+    """Erdős–Rényi ``G(n, p)``, resampled until connected, else patched to connectivity.
 
-    Samples until connected (up to ``max_tries``); if ``p`` is too small for
-    connectivity to be likely, a uniform random spanning tree worth of edges
-    is added to the last sample instead of failing, so the builder is total.
+    Draws up to ``max_tries`` samples and returns the first connected one.
+    If none is connected — certain for ``p = 0``, and the usual outcome when
+    ``p`` is well below the connectivity threshold ``ln(n) / n`` — the last
+    sample is patched instead of failing, so the builder is total: its nodes
+    are walked in a random order, and each consecutive pair that is still in
+    different components gets an edge.  A patched graph is *not* a connected
+    ``G(n, p)`` sample; it is ``G(n, p)`` plus the fewest edges that connect
+    it.  ``FAMILY_BUILDERS["gnp_sparse"]`` (``p = 3 / (n - 1)``) takes that
+    path from ``n = 256`` on.
+
+    The result is byte-identical to sampling each try with
+    ``networkx.gnp_random_graph(n, p, seed=rng.randrange(2**32))``, testing
+    ``networkx.is_connected`` and patching with ``networkx.has_path``: same
+    edges, same port labels, same ``rng`` state afterwards.  The draws are
+    replayed in numpy (see :func:`_sample_connected_gnp`).
     """
     if n < 2:
         raise GraphError("G(n, p) needs n >= 2")
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must be in [0, 1]")
+    if max_tries < 1:
+        raise GraphError("max_tries must be >= 1")
     rng = resolve_rng(rng, seed)
-    g: Optional[nx.Graph] = None
-    for __ in range(max_tries):
-        g = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
-        if nx.is_connected(g):
-            return _finish(g, source=0, port_order=port_order, rng=rng)
-    assert g is not None
-    order = list(g.nodes())
-    rng.shuffle(order)
-    for prev, cur in zip(order, order[1:]):
-        if not nx.has_path(g, prev, cur):
-            g.add_edge(prev, cur)
+    edges, __, __ = _sample_connected_gnp(n, p, rng, max_tries)
+    g = nx.empty_graph(n)
+    g.add_edges_from(edges)
     return _finish(g, source=0, port_order=port_order, rng=rng)
+
+
+def _gnp_uniforms(bits, seed: int, count: int):
+    """The first ``count`` values of ``random.Random(seed).random()``, as one array.
+
+    ``bits`` is a numpy ``MT19937`` that gets the Mersenne Twister state
+    ``random.Random(seed)`` starts from; CPython and numpy both turn two
+    32-bit outputs ``a, b`` into ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``,
+    so the doubles agree bit for bit.  (``numpy.random.RandomState(seed)``
+    seeds differently for a one-word key and must not be used here.)
+    """
+    import numpy as np
+    from numpy.random import Generator
+
+    state = random.Random(seed).getstate()[1]
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    return Generator(bits).random(count)
+
+
+def _find(parent: List[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merges(parent: List[int], us: List[int], vs: List[int], target: int) -> int:
+    """Union every edge ``(us[k], vs[k])`` into ``parent``; return the merge
+    count, stopping early once it reaches ``target``."""
+    merged = 0
+    for u, v in zip(us, vs):
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            merged += 1
+            if merged == target:
+                break
+    return merged
+
+
+def _sample_connected_gnp(
+    n: int, p: float, rng: random.Random, max_tries: int
+) -> Tuple[List[Tuple[int, int]], int, bool]:
+    """The edge list :func:`random_connected_gnp` builds its graph from.
+
+    Returns ``(edges, tries, fell_back)``: ``tries`` samples were drawn, and
+    ``fell_back`` says whether none was connected and the last one was
+    patched.  ``edges`` is in the order ``networkx.gnp_random_graph`` adds
+    them — ``itertools.combinations(range(n), 2)`` order, which is what
+    ``numpy.triu_indices(n, 1)`` enumerates — followed by any patch edges,
+    so adding them to ``networkx.empty_graph(n)`` reproduces its adjacency
+    order exactly.  Each try consumes one ``rng.randrange(2**32)`` as the
+    networkx seed; ``p = 0`` and ``p = 1`` consume nothing else, as in
+    networkx.  Rejected samples never become graph objects: too few edges
+    or an untouched node rejects a sample before union-find runs.
+    """
+    import numpy as np
+    from numpy.random import MT19937
+
+    us, vs = np.triu_indices(n, 1)
+    bits = MT19937(0)
+    for tries in range(1, max_tries + 1):
+        seed = rng.randrange(2**32)
+        if p >= 1:
+            a, b = us, vs
+        elif p <= 0:
+            a, b = us[:0], vs[:0]
+        else:
+            mask = _gnp_uniforms(bits, seed, len(us)) < p
+            a, b = us[mask], vs[mask]
+        if len(a) < n - 1:
+            continue
+        touched = np.zeros(n, dtype=bool)
+        touched[a] = True
+        touched[b] = True
+        if touched.all() and _merges(list(range(n)), a.tolist(), b.tolist(), n - 1) == n - 1:
+            return list(zip(a.tolist(), b.tolist())), tries, False
+    a, b = a.tolist(), b.tolist()
+    edges = list(zip(a, b))
+    order = list(range(n))
+    rng.shuffle(order)
+    parent = list(range(n))
+    _merges(parent, a, b, n - 1)
+    for prev, cur in zip(order, order[1:]):
+        rp, rc = _find(parent, prev), _find(parent, cur)
+        if rp != rc:
+            parent[rp] = rc
+            edges.append((prev, cur))
+    return edges, max_tries, True
 
 
 def random_regular(

@@ -141,17 +141,20 @@ async def _handle_http(
                 break
             method, target, headers = head
             path = target.split("?", 1)[0]
-            length = int(headers.get("content-length", "0") or "0")
-            if length > _MAX_BODY:
+            raw_length = headers.get("content-length", "0") or "0"
+            problem = None
+            if not raw_length.isdigit():
+                problem = f"malformed Content-Length {raw_length!r}"
+            elif int(raw_length) > _MAX_BODY:
+                problem = f"body exceeds {_MAX_BODY} bytes"
+            if problem is not None:
                 response = _http_response(
-                    400,
-                    error_envelope("bad_request", f"body exceeds {_MAX_BODY} bytes"),
-                    {},
-                    close=True,
+                    400, error_envelope("bad_request", problem), {}, close=True
                 )
                 writer.write(response)
                 await writer.drain()
                 break
+            length = int(raw_length)
             body = await reader.readexactly(length) if length else b""
             service.request_started()
             try:

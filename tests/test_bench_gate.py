@@ -95,6 +95,25 @@ def test_service_benchmark_is_gated(tmp_path):
     assert "warm_p99_us" in proc.stdout
 
 
+def test_fail_line_shows_each_keys_own_unit(tmp_path):
+    base = tmp_path / "base.json"
+    fresh = tmp_path / "fresh.json"
+    numbers = {"warm_p99_us": 1000.0, "warm_us_per_req": 500.0}
+    base.write_text(json.dumps(_service_export(numbers)), encoding="utf-8")
+    slow = {"warm_p99_us": 2000.0, "warm_us_per_req": 791.0}
+    fresh.write_text(json.dumps(_service_export(slow)), encoding="utf-8")
+    proc = _run(str(base), str(fresh))
+    assert proc.returncode == 1
+    assert "warm_us_per_req: 791us vs baseline 500us" in proc.stderr
+    assert "warm_p99_us: 2000us vs baseline 1000us" in proc.stderr
+    assert "ns" not in proc.stderr
+
+    base.write_text(json.dumps(_export({"a_fast_ns": 100.0})), encoding="utf-8")
+    fresh.write_text(json.dumps(_export({"a_fast_ns": 300.0})), encoding="utf-8")
+    proc = _run(str(base), str(fresh))
+    assert "a_fast_ns: 300ns vs baseline 100ns" in proc.stderr
+
+
 def test_service_cold_numbers_are_informational(tmp_path):
     base = tmp_path / "base.json"
     fresh = tmp_path / "fresh.json"

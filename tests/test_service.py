@@ -20,6 +20,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -512,6 +513,24 @@ def test_http_control_endpoints_and_errors():
             response = client._conn.getresponse()
             assert response.status == 405
             response.read()
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+def test_malformed_content_length_gets_bad_request(length):
+    with ServiceThread(ServiceConfig()) as st:
+        with socket.create_connection(st.http_address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # the daemon closes after a 400
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "bad_request"
+        with HttpServiceClient(*st.http_address) as client:
+            assert client.get("/healthz") == {"ok": True, "status": "serving"}
 
 
 def test_path_implied_job_endpoints():

@@ -37,8 +37,8 @@ Commands
     not covered by the committed ``lint_baseline.json``.
 ``sanitize [--hash-seeds S1,S2,...] [--cells NAME,...]``
     Hash-randomization stress harness: re-runs a smoke grid under several
-    ``PYTHONHASHSEED`` values and both engines, byte-diffing the canonical
-    trace blobs; exits nonzero on any divergence.
+    ``PYTHONHASHSEED`` values and all three engines, byte-diffing the
+    canonical trace blobs; exits nonzero on any divergence.
 ``trace --task broadcast --family kstar --n 64 --out run.jsonl``
     Run one task with full telemetry and export the structured event
     stream as JSONL (plus a wall-time-per-phase table on stdout).
@@ -1051,7 +1051,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sanitize = sub.add_parser(
         "sanitize",
         help="hash-randomization stress harness: byte-diff a smoke grid "
-        "across PYTHONHASHSEED values and both engines",
+        "across PYTHONHASHSEED values and all three engines",
     )
     p_sanitize.add_argument(
         "--hash-seeds",

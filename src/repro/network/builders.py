@@ -214,23 +214,33 @@ def random_connected_gnp(
     return _finish(g, source=0, port_order=port_order, rng=rng)
 
 
-def _gnp_uniforms(bits, seed: int, count: int):
-    """The first ``count`` values of ``random.Random(seed).random()``, as one array.
+def copy_mt_state(rng: random.Random, bits) -> None:
+    """Give the numpy ``MT19937`` ``bits`` the Mersenne Twister state of ``rng``.
 
-    ``bits`` is a numpy ``MT19937`` that gets the Mersenne Twister state
-    ``random.Random(seed)`` starts from; CPython and numpy both turn two
-    32-bit outputs ``a, b`` into ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``,
-    so the doubles agree bit for bit.  (``numpy.random.RandomState(seed)``
-    seeds differently for a one-word key and must not be used here.)
+    Both generators then emit the same 32-bit words, so numpy can replay a
+    run of ``rng`` draws in bulk.  (``numpy.random.RandomState(seed)``
+    seeds differently for a one-word key and must not be used for this.)
     """
     import numpy as np
-    from numpy.random import Generator
 
-    state = random.Random(seed).getstate()[1]
+    state = rng.getstate()[1]
     bits.state = {
         "bit_generator": "MT19937",
         "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
     }
+
+
+def _gnp_uniforms(bits, seed: int, count: int):
+    """The first ``count`` values of ``random.Random(seed).random()``, as one array.
+
+    ``bits`` is a numpy ``MT19937`` that gets the state ``random.Random(seed)``
+    starts from; CPython and numpy both turn two 32-bit outputs ``a, b`` into
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, so the doubles agree bit for
+    bit.
+    """
+    from numpy.random import Generator
+
+    copy_mt_state(random.Random(seed), bits)
     return Generator(bits).random(count)
 
 

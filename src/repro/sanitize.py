@@ -5,12 +5,12 @@ The static half of the determinism story is the DET lint family
 re-executes a small smoke grid of representative runs — broadcast,
 wakeup, and gossip (whose rumor payloads are *frozensets of strings*, the
 canonical hash-order hazard) — under several ``PYTHONHASHSEED`` values,
-under both simulation engines (compiled fast path and the legacy
-reference loop), and with a seeded randomized scheduler as an
-order-perturbation probe.  Every run serializes to one canonical byte
-blob (the JSONL event stream plus a canonical-JSON result summary); the
-harness byte-compares blobs across the whole matrix and fails on the
-first divergence.
+under every simulation engine (compiled fast path, legacy reference
+loop, and the numpy vectorized engine), and with a seeded randomized
+scheduler as an order-perturbation probe.  Every run serializes to one
+canonical byte blob (the JSONL event stream plus a canonical-JSON result
+summary); the harness byte-compares blobs across the whole matrix and
+fails on the first divergence.
 
 ``PYTHONHASHSEED`` is fixed at interpreter start, so each matrix entry
 runs in a fresh subprocess (``repro sanitize --run-cells ...``, the
@@ -35,7 +35,13 @@ __all__ = ["SMOKE_CELLS", "cell_names", "run_cell", "run_matrix", "main"]
 #: Default hash seeds the matrix crosses (the CLI can override).
 DEFAULT_HASH_SEEDS = (0, 1, 4242)
 
-_FASTPATH_ENV = "REPRO_FASTPATH"
+#: The matrix's engine columns: the environment switches that make
+#: ``engine="auto"`` (every cell's default) pick each engine.
+ENGINE_ENV: Dict[str, Dict[str, str]] = {
+    "fastpath": {"REPRO_FASTPATH": "1", "REPRO_VECTORIZED": "0"},
+    "reference": {"REPRO_FASTPATH": "0", "REPRO_VECTORIZED": "0"},
+    "vectorized": {"REPRO_FASTPATH": "1", "REPRO_VECTORIZED": "1"},
+}
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,7 @@ SMOKE_CELLS: Tuple[SmokeCell, ...] = (
     SmokeCell("broadcast-kstar-sync", "broadcast", "kstar", 24, "sync", 0),
     SmokeCell("broadcast-cycle-random", "broadcast", "cycle", 16, "random", 7),
     SmokeCell("wakeup-kstar-fifo", "wakeup", "kstar", 24, "fifo", 3),
+    SmokeCell("wakeup-kstar-sync", "wakeup", "kstar", 24, "sync", 0),
     SmokeCell("gossip-complete-sync", "gossip", "complete", 8, "sync", 0),
     SmokeCell("gossip-randomtree-random", "gossip", "random_tree", 10, "random", 11),
 )
@@ -107,30 +114,30 @@ def run_cell(name: str) -> bytes:
     scheduler = make_scheduler(cell.scheduler, cell.seed)
     lines: List[str] = []
 
-    if cell.task == "broadcast":
+    if cell.task in ("broadcast", "wakeup"):
+        run, oracle, algorithm = (
+            (run_broadcast, LightTreeBroadcastOracle, SchemeB)
+            if cell.task == "broadcast"
+            else (run_wakeup, SpanningTreeWakeupOracle, TreeWakeup)
+        )
         sink = MemorySink()
-        result = run_broadcast(
-            graph,
-            LightTreeBroadcastOracle(),
-            SchemeB(),
-            scheduler=scheduler,
-            obs=Observation(sink=sink),
+        result = run(
+            graph, oracle(), algorithm(), scheduler=scheduler, obs=Observation(sink=sink)
         )
         lines.extend(encode_event(event) for event in sink.events)
         summary = dict(result.trace.summary())
         summary["success"] = result.success
-    elif cell.task == "wakeup":
-        sink = MemorySink()
-        result = run_wakeup(
+        # The same run at the counters level, unobserved: with the
+        # vectorized engine and a synchronous scheduler this one goes
+        # through the numpy batch core instead of the program interpreter.
+        counted = run(
             graph,
-            SpanningTreeWakeupOracle(),
-            TreeWakeup(),
-            scheduler=scheduler,
-            obs=Observation(sink=sink),
+            oracle(),
+            algorithm(),
+            scheduler=make_scheduler(cell.scheduler, cell.seed),
+            trace_level="counters",
         )
-        lines.extend(encode_event(event) for event in sink.events)
-        summary = dict(result.trace.summary())
-        summary["success"] = result.success
+        summary["counters"] = dict(counted.trace.summary())
     elif cell.task == "gossip":
         result = run_gossip(graph, GossipTreeOracle(), TreeGossip(), scheduler=scheduler)
         # Gossip payloads are frozensets of rumor tuples — render every
@@ -183,11 +190,11 @@ class MatrixEntry:
 
 
 def _spawn_worker(
-    hash_seed: int, fastpath: bool, names: Sequence[str]
+    hash_seed: int, engine: str, names: Sequence[str]
 ) -> Dict[str, str]:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
-    env[_FASTPATH_ENV] = "1" if fastpath else "0"
+    env.update(ENGINE_ENV[engine])
     # Make sure the child resolves the same package, however we were run.
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parts = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -201,8 +208,8 @@ def _spawn_worker(
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"sanitize worker (PYTHONHASHSEED={hash_seed}, "
-            f"{_FASTPATH_ENV}={env[_FASTPATH_ENV]}) failed:\n{proc.stderr}"
+            f"sanitize worker (PYTHONHASHSEED={hash_seed}, engine={engine}) "
+            f"failed:\n{proc.stderr}"
         )
     digests: Dict[str, str] = {}
     for line in proc.stdout.splitlines():
@@ -222,20 +229,24 @@ def run_matrix(
 ) -> Tuple[bool, List[MatrixEntry]]:
     """Run the full matrix; returns ``(all_identical, entries)``.
 
-    The matrix is ``hash_seeds x {fastpath, reference}`` plus a repeat of
-    the first hash seed (catching within-seed nondeterminism).  Every cell
-    must produce the same digest in every entry.
+    The matrix is ``hash_seeds x {fastpath, reference, vectorized}`` plus
+    a repeat of the first hash seed (catching within-seed
+    nondeterminism).  Every cell must produce the same digest in every
+    entry.
     """
     names = list(cells) if cells else cell_names()
-    combos: List[Tuple[str, int, bool]] = []
-    for seed in hash_seeds:
-        combos.append((f"hashseed={seed} engine=fastpath", seed, True))
-        combos.append((f"hashseed={seed} engine=reference", seed, False))
+    combos: List[Tuple[str, int, str]] = [
+        (f"hashseed={seed} engine={engine}", seed, engine)
+        for seed in hash_seeds
+        for engine in ENGINE_ENV
+    ]
     if hash_seeds:
-        combos.append((f"hashseed={hash_seeds[0]} engine=fastpath repeat", hash_seeds[0], True))
+        combos.append(
+            (f"hashseed={hash_seeds[0]} engine=fastpath repeat", hash_seeds[0], "fastpath")
+        )
     entries = [
-        MatrixEntry(label=label, digests=_spawn_worker(seed, fast, names))
-        for label, seed, fast in combos
+        MatrixEntry(label=label, digests=_spawn_worker(seed, engine, names))
+        for label, seed, engine in combos
     ]
     ok = True
     for name in names:

@@ -289,15 +289,8 @@ class AdviceService:
         try:
             params = normalize_request(data)
         except RequestError as exc:
-            self.obs.emit(
-                ServiceResponseSent(
-                    job=str(data.get("job", "?")) if isinstance(data, Mapping) else "?",
-                    key="",
-                    status=exc.code,
-                    source="invalid",
-                )
-            )
-            return error_envelope(exc.code, str(exc)), 400, {}
+            job = str(data.get("job", "?")) if isinstance(data, Mapping) else "?"
+            return self.reject_invalid(str(exc), exc.code, job)
         key = request_key(params)
         job = params["job"]
 
@@ -360,6 +353,21 @@ class AdviceService:
         finally:
             self._pending -= 1
             self._inflight.pop(key, None)
+
+    def reject_invalid(
+        self, message: str, code: str = "bad_request", job: str = "?"
+    ) -> Response:
+        """A 400 for a request that never became a job, access-logged.
+
+        :meth:`handle_request` answers invalid job fields through here;
+        the wire handlers do too, for what they refuse before a request
+        exists at all (a bad ``Content-Length``, a body or line that is not
+        JSON).
+        """
+        self.obs.emit(
+            ServiceResponseSent(job=job, key="", status=code, source="invalid")
+        )
+        return error_envelope(code, message), 400, {}
 
     # ------------------------------------------------------------------
     # Helpers

@@ -78,7 +78,7 @@ async def _route(
             return error_envelope("bad_request", f"{path} is POST-only"), 405, {}
         data, ok = _parse_body(body)
         if not ok:
-            return error_envelope("bad_request", "request body is not valid JSON"), 400, {}
+            return service.reject_invalid("request body is not valid JSON")
         if path != "/v1/jobs" and isinstance(data, dict):
             data = dict(data)
             data.setdefault("job", path.rsplit("/", 1)[1])
@@ -148,10 +148,8 @@ async def _handle_http(
             elif int(raw_length) > _MAX_BODY:
                 problem = f"body exceeds {_MAX_BODY} bytes"
             if problem is not None:
-                response = _http_response(
-                    400, error_envelope("bad_request", problem), {}, close=True
-                )
-                writer.write(response)
+                envelope, status, extra = service.reject_invalid(problem)
+                writer.write(_http_response(status, envelope, extra, close=True))
                 await writer.drain()
                 break
             length = int(raw_length)
@@ -197,8 +195,8 @@ async def _handle_ipc(
             service.request_started()
             try:
                 if not ok:
-                    envelope = error_envelope(
-                        "bad_request", "request line is not valid JSON"
+                    envelope, _status, _extra = service.reject_invalid(
+                        "request line is not valid JSON"
                     )
                 else:
                     envelope, _status, _extra = await service.handle_request(

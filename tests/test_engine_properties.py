@@ -269,7 +269,12 @@ class TestImplicitGadgets:
         rng = random.Random(seed)
         edge_tuple = sample_edge_tuple(n, n, rng)
         graph = subdivision_family_graph(n, edge_tuple)
-        links = _gadget_tree(n, edge_tuple)
+        tree = _gadget_tree(n, edge_tuple)
+        links = {
+            i + 1: (int(p), int(pp), int(cp))
+            for i, (p, pp, cp) in enumerate(zip(*tree))
+            if i > 0
+        }
         parent = build_spanning_tree(graph, "bfs")
         assert {c: p for c, p in parent.items() if p is not None} == {
             c: p for c, (p, _pp, _cp) in links.items()

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.fits import classify_growth
 from repro.vectorized import mega_gadget_batch, mega_gadget_wakeup
 
-#: Generous for CI: the run takes ~1-2 s on one unloaded core.
+#: Generous for CI: the run takes ~0.25 s on one core of a 2-CPU Xeon host.
 WALL_BUDGET_S = 60.0
 
 

@@ -20,10 +20,11 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(REPO_ROOT, "src")
 
 
-def _digest_in_subprocess(cell, hash_seed, fastpath="1"):
+def _digest_in_subprocess(cell, hash_seed, fastpath="1", vectorized="0"):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["REPRO_FASTPATH"] = fastpath
+    env["REPRO_VECTORIZED"] = vectorized
     env["PYTHONPATH"] = SRC
     script = (
         "import hashlib\n"
@@ -86,14 +87,41 @@ class TestBlobDeterminism:
         b = _digest_in_subprocess("broadcast-kstar-sync", 0, fastpath="0")
         assert a == b
 
+    def test_vectorized_engine_agrees_with_the_others(self):
+        a = _digest_in_subprocess("wakeup-kstar-sync", 0, fastpath="0")
+        b = _digest_in_subprocess("wakeup-kstar-sync", 1, vectorized="1")
+        assert a == b
+
+    def test_counters_rerun_goes_through_the_numpy_batch_core(self, monkeypatch):
+        import repro.vectorized.engine as vengine
+
+        batches = []
+        real = vengine.run_batch
+
+        def counting(replicas):
+            batches.append(len(replicas))
+            return real(replicas)
+
+        monkeypatch.setattr(vengine, "run_batch", counting)
+        monkeypatch.setenv("REPRO_VECTORIZED", "1")
+        vectorized = run_cell("wakeup-kstar-sync")
+        assert batches == [1]
+        monkeypatch.setenv("REPRO_VECTORIZED", "0")
+        assert run_cell("wakeup-kstar-sync") == vectorized
+        assert batches == [1]
+        assert b'"counters":' in vectorized
+
 
 class TestMatrix:
     def test_small_matrix_is_identical_and_reports_ok(self):
         names = ["gossip-complete-sync"]
         ok, entries = run_matrix(hash_seeds=(0, 1), cells=names)
         assert ok
-        # 2 seeds x 2 engines + 1 repeat
-        assert len(entries) == 5
+        # 2 seeds x 3 engines + 1 repeat
+        assert len(entries) == 7
+        assert {entry.label.split()[1] for entry in entries} == {
+            "engine=fastpath", "engine=reference", "engine=vectorized",
+        }
         report = format_report(ok, entries, names)
         assert "byte-identical" in report
         assert "DIVERGED" not in report

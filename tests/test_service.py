@@ -533,6 +533,52 @@ def test_malformed_content_length_gets_bad_request(length):
             assert client.get("/healthz") == {"ok": True, "status": "serving"}
 
 
+def _raw_exchange(address, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket; read until the daemon closes it
+    or has answered one IPC line."""
+    family = socket.AF_UNIX if isinstance(address, str) else socket.AF_INET
+    with socket.socket(family, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(address)
+        sock.sendall(payload)
+        reply = b""
+        while not (isinstance(address, str) and reply.endswith(b"\n")):
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize(
+    "lane, payload",
+    [
+        ("http", b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n"),
+        ("http", b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n"),
+        (
+            "http",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9\r\n"
+            b"Connection: close\r\n\r\n{not json",
+        ),
+        ("ipc", b"{not json\n"),
+    ],
+    ids=["malformed-length", "oversize-length", "http-non-json", "ipc-non-json"],
+)
+def test_transport_level_bad_request_is_access_logged(tmp_path, lane, payload):
+    sink = MemorySink()
+    uds = str(tmp_path / "ipc.sock")
+    with ServiceThread(ServiceConfig(uds=uds), obs=Observation(sink)) as st:
+        address = st.http_address if lane == "http" else uds
+        reply = _raw_exchange(address, payload)
+        assert b'"error":"bad_request"' in reply
+        with HttpServiceClient(*st.http_address) as client:
+            assert client.get("/healthz") == {"ok": True, "status": "serving"}
+    responses = [e for e in sink.events if e.kind == "service_response"]
+    assert [(e.job, e.key, e.status, e.source) for e in responses] == [
+        ("?", "", "bad_request", "invalid")
+    ]
+
+
 def test_path_implied_job_endpoints():
     with ServiceThread(ServiceConfig()) as st:
         with HttpServiceClient(*st.http_address) as client:

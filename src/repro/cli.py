@@ -97,6 +97,8 @@ import sys
 from typing import List, Optional
 
 from .analysis.experiments import EXPERIMENTS, format_experiment, run_experiment
+from .simulator.engine import ENGINES
+from .simulator.schedulers import SCHEDULER_NAMES
 
 __all__ = ["main"]
 
@@ -876,10 +878,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--algorithm", default=None,
         help="registry name (see `repro list`); default: the task's paper algorithm",
     )
-    p_trace.add_argument(
-        "--scheduler", default="sync",
-        help="sync | fifo | random | delay-hello | hurry-hello",
-    )
+    p_trace.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="sync")
     p_trace.add_argument("--seed", type=int, default=0, help="scheduler RNG seed")
     p_trace.add_argument("--out", default="run.jsonl", help="JSONL output path")
     p_trace.add_argument(
@@ -904,7 +903,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_trace.add_argument(
         "--engine",
-        choices=("auto", "legacy", "fastpath", "vectorized"),
+        choices=ENGINES,
         default="auto",
         help="pin the execution engine (byte-identical streams either way); "
         "default 'auto' honors REPRO_FASTPATH / REPRO_VECTORIZED",

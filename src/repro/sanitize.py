@@ -129,7 +129,7 @@ def run_cell(name: str) -> bytes:
         summary["success"] = result.success
         # The same run at the counters level, unobserved: with the
         # vectorized engine and a synchronous scheduler this one goes
-        # through the numpy batch core instead of the program interpreter.
+        # through the numpy batch core instead of the fast path.
         counted = run(
             graph,
             oracle(),

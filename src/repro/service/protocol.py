@@ -86,7 +86,9 @@ def canonical_json(value: Any) -> str:
 
 def _require_choice(data: Mapping[str, Any], field: str, choices, default=None):
     value = data.get(field, default)
-    if value not in choices:
+    # Choice sets may be dicts (registries); a list or object value would
+    # raise TypeError on the membership test instead of a RequestError.
+    if not isinstance(value, str) or value not in choices:
         raise RequestError(
             f"{field!r} must be one of {sorted(choices)}, got {value!r}"
         )

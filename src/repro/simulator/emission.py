@@ -1,14 +1,13 @@
 """The trace/telemetry emission half of the engine, factored out.
 
-Every execution loop in this repository — the legacy reference loop in
-:meth:`repro.simulator.Simulation._run_legacy`, and the vectorized
-program interpreter in :mod:`repro.vectorized.engine` — must produce the
+Both per-delivery loops in this repository — the legacy reference loop
+in :meth:`repro.simulator.Simulation._run_legacy` and the fast path's
+synchronous core in :mod:`repro.fastpath.engine` — must produce the
 *same* :class:`~repro.simulator.trace.ExecutionTrace` writes and the same
-obs event stream, in the same order, for the same semantic run.  Before
-this module, that contract was upheld by hand-mirroring ~40 lines of
-bookkeeping per loop; now the bookkeeping lives once, here, and a loop is
-only responsible for the *semantic step* (who receives what, who becomes
-informed, which sends follow).
+obs event stream, in the same order, for the same semantic run.  The
+legacy loop does all of its bookkeeping here, so it is only responsible
+for the *semantic step* (who receives what, who becomes informed, which
+sends follow).
 
 The split is exact — method boundaries fall precisely on the legacy
 loop's statement order, so a loop built on :class:`TraceEmitter` is
@@ -30,9 +29,10 @@ byte-identical to the historical inline code by construction:
     the boundary events, reading their numbers off the trace so no loop
     can emit counters that disagree with what it recorded.
 
-The compiled fast path (:mod:`repro.fastpath.engine`) intentionally keeps
-its inlined copies — it exists to shave attribute lookups off the hot
-loop — and is held to the same bytes by ``tests/test_fastpath.py`` and
+The fast path takes its run boundaries (``run_started`` /
+``run_ended``) from here but intentionally keeps inlined copies of the
+per-message events — it exists to shave calls off the hot loop — and is
+held to the same bytes by ``tests/test_fastpath.py`` and
 ``tests/test_differential.py``.
 """
 

@@ -21,7 +21,7 @@ Execution paths
 ---------------
 :meth:`Simulation.run` dispatches between three engines:
 
-* ``fastpath`` (default) — the compiled loop of
+* ``fastpath`` (default) — the compiled synchronous loop of
   :mod:`repro.fastpath.engine`, executing over the graph's flat-array
   :class:`~repro.fastpath.topology.CompiledTopology`;
 * ``legacy`` — the dict-walking reference loop
@@ -29,8 +29,12 @@ Execution paths
   executable specification;
 * ``vectorized`` — the struct-of-arrays round engine of
   :mod:`repro.vectorized`, which drains whole synchronous rounds as
-  numpy frontier operations (and falls back to the fast path for
-  configurations it cannot compile).
+  numpy frontier operations for quiet counters-level runs and hands
+  every other run to the fast path.
+
+Whatever the engine, a non-synchronous scheduler (FIFO, random,
+adversarial) runs the legacy loop: only plain synchronous runs have a
+second implementation.
 
 Selection: the ``engine=`` constructor argument wins when explicit;
 ``engine="auto"`` honors the environment escape hatches —
@@ -39,8 +43,8 @@ Selection: the ``engine=`` constructor argument wins when explicit;
 All engines are byte-identical at ``trace_level="full"`` — same trace,
 same obs events — and counter-exact at ``trace_level="counters"``, a
 contract enforced by ``tests/test_fastpath.py`` and
-``tests/test_differential.py``.  The trace/event bookkeeping shared by
-the legacy loop and the vectorized interpreter lives in
+``tests/test_differential.py``.  The trace/event bookkeeping of the
+legacy loop, and the run boundaries of the fast path, live in
 :class:`repro.simulator.emission.TraceEmitter`.
 """
 

@@ -17,10 +17,9 @@ the synchronous schedules those curves actually use:
   replicas pushed through a single pass;
 * :mod:`~repro.vectorized.engine` is the dispatch target of
   ``Simulation.run`` (``engine="vectorized"`` or ``REPRO_VECTORIZED=1``):
-  counters-mode quiet runs take the numpy core, full-trace or observed
-  runs take a program interpreter built on the shared
-  :class:`~repro.simulator.emission.TraceEmitter`, and anything the
-  compiler cannot express falls back to the fast path — so the engine is
+  counters-mode quiet synchronous runs take the numpy core; full-trace
+  or observed runs, runs a safety limit would truncate, and anything the
+  compiler cannot express go to the fast path — so the engine is
   *always* byte-identical to the legacy loop (``tests/test_differential.py``);
 * :mod:`~repro.vectorized.gadgets` builds the ``G_{n,S}`` spanning-tree
   program *implicitly* — the gadget has ``Θ(n²)`` edges, so at

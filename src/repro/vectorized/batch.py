@@ -6,12 +6,12 @@ rivals the work itself.  :func:`run_wakeup_batch` amortizes it: every
 replica's nodes live in one combined array space and each synchronous
 round advances *all* replicas with the same handful of numpy ops.
 
-The contract matches the single-run counters lane: each returned
+The contract matches the single-run numpy-core route: each returned
 :class:`~repro.core.tasks.TaskResult` is counter-exact with what
 ``run_wakeup(..., trace_level="counters")`` returns for that graph.  If
 any replica fails to compile — or any safety limit would truncate any
 run — the whole batch falls back to per-simulation execution, which
-itself falls back per the engine's lanes; the batch is an optimization,
+itself falls back along the engine's routes; the batch is an optimization,
 never a semantic fork.
 """
 
@@ -89,7 +89,7 @@ def run_wakeup_batch(
     calls using the default message limit.  ``trace_level`` other than
     ``"counters"``, a compile refusal, or a limit that would truncate any
     replica all fall back to per-simulation runs (still through the
-    vectorized engine's own lanes).
+    vectorized engine's own routes).
     """
     prepared = [_prepare(g, oracle, algorithm, anonymous, trace_level) for g in graphs]
 

@@ -87,6 +87,13 @@ class TestFailurePaths:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_invalid_scheduler_rejected_by_argparse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--scheduler", "bogus", "--out", str(tmp_path / "x.jsonl")])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_invalid_retries(self, capsys):
         assert main(["experiment", "E3", "--retries", "-1"]) == 2
         err = capsys.readouterr().err

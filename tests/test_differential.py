@@ -206,3 +206,76 @@ def test_counters_match_full_across_engines():
         assert counters.trace.per_round_deliveries() == full.trace.per_round_deliveries()
         assert counters.trace.completed == full.trace.completed
         assert counters.trace.deliveries == []
+
+
+@pytest.mark.parametrize(
+    "limit", [{"max_messages": 7}, {"max_steps": 5}], ids=("msg-limit", "step-limit")
+)
+@pytest.mark.parametrize(
+    "task,oracle,algorithm",
+    [PAIRS[0], PAIRS[2]],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_numpy_core_limit_fallback(task, oracle, algorithm, limit, monkeypatch):
+    """Quiet counters runs enter the numpy core; a limit sends them back.
+
+    Every other case here attaches a JSONL sink, which keeps runs out of
+    the numpy core.  These run with obs off at ``trace_level="counters"``,
+    so the vectorized engine starts in ``run_batch``, meets a
+    ``VectorLimitAbort`` and reruns on the fast path — which must
+    reproduce the legacy truncation exactly.
+    """
+    from repro.vectorized import engine as vec_engine
+    from repro.vectorized.core import VectorLimitAbort
+
+    real_run_batch = vec_engine.run_batch
+    aborts = []
+
+    def spy(replicas):
+        try:
+            return real_run_batch(replicas)
+        except VectorLimitAbort:
+            aborts.append(len(replicas))
+            raise
+
+    monkeypatch.setattr(vec_engine, "run_batch", spy)
+
+    for graph in _graphs()[:2]:
+        frozen = graph if graph.frozen else graph.copy().freeze()
+        advice = oracle().advise(frozen)
+        runs = {}
+        for engine in ("legacy", "vectorized"):
+            alg = algorithm()
+            schemes = {
+                v: alg.scheme_for(advice[v], v == frozen.source, v, frozen.degree(v))
+                for v in frozen.nodes()
+            }
+            sim = Simulation(
+                frozen,
+                schemes,
+                advice=advice,
+                wakeup=task == "wakeup",
+                trace_level="counters",
+                engine=engine,
+                **limit,
+            )
+            trace = sim.run()
+            nodes = {
+                v: (rt.informed, rt.informed_at, rt.received_count, rt.sent_count)
+                for v, rt in sim.runtimes.items()
+            }
+            runs[engine] = (trace, nodes)
+        assert runs["vectorized"][0].message_limit_hit
+        assert runs["vectorized"] == runs["legacy"], f"diverged: {task}/{limit}"
+        if "max_messages" in limit:
+            runner = run_broadcast if task == "broadcast" else run_wakeup
+            results = [
+                runner(
+                    frozen, oracle(), algorithm(), trace_level="counters",
+                    engine=engine, **limit,
+                )
+                for engine in ("legacy", "vectorized")
+            ]
+            assert results[1] == results[0], f"TaskResult diverged: {task}/{limit}"
+    # Every vectorized run above entered the numpy core and aborted there.
+    assert aborts == [1] * (4 if "max_messages" in limit else 2)

@@ -106,6 +106,22 @@ def test_normalize_rejects_bad_requests(bad):
         normalize_request(bad)
 
 
+#: Every field validated against a fixed set of names.
+CHOICE_FIELDS = (
+    "job", "task", "family", "oracle", "algorithm", "scheduler", "trace_level", "engine",
+)
+
+
+@pytest.mark.parametrize("value", [["kstar"], {}], ids=["list", "object"])
+@pytest.mark.parametrize("field", CHOICE_FIELDS)
+def test_normalize_rejects_unhashable_choice_values(field, value):
+    request = {"job": "simulate", "n": 8, field: value}
+    with pytest.raises(RequestError) as excinfo:
+        normalize_request(request)
+    assert excinfo.value.code == "bad_request"
+    assert field in str(excinfo.value)
+
+
 def test_oversize_request_has_too_large_code():
     with pytest.raises(RequestError) as excinfo:
         normalize_request({"job": "advice", "n": 10**9})
@@ -576,6 +592,37 @@ def test_transport_level_bad_request_is_access_logged(tmp_path, lane, payload):
     responses = [e for e in sink.events if e.kind == "service_response"]
     assert [(e.job, e.key, e.status, e.source) for e in responses] == [
         ("?", "", "bad_request", "invalid")
+    ]
+
+
+@pytest.mark.parametrize("lane", ["http", "ipc"])
+@pytest.mark.parametrize(
+    "request_body",
+    [
+        {"job": "simulate", "n": 8, "family": ["kstar"]},
+        {"job": "simulate", "n": 8, "algorithm": {}},
+    ],
+    ids=["family-list", "algorithm-object"],
+)
+def test_unhashable_choice_value_is_a_logged_bad_request(tmp_path, lane, request_body):
+    sink = MemorySink()
+    uds = str(tmp_path / "ipc.sock")
+    with ServiceThread(ServiceConfig(uds=uds), obs=Observation(sink)) as st:
+        if lane == "http":
+            with HttpServiceClient(*st.http_address) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request(request_body)
+            assert excinfo.value.status == 400
+        else:
+            with IpcServiceClient(uds) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request(request_body)
+        assert excinfo.value.code == "bad_request"
+        with HttpServiceClient(*st.http_address) as client:
+            assert client.get("/healthz") == {"ok": True, "status": "serving"}
+    responses = [e for e in sink.events if e.kind == "service_response"]
+    assert [(e.job, e.key, e.status, e.source) for e in responses] == [
+        ("simulate", "", "bad_request", "invalid")
     ]
 
 
